@@ -408,7 +408,7 @@ def _dispatch(args) -> int:
         )
         upper, provenance = zs.eta_upper(dec, tol=args.tol)
         cert = zs.EtaCertificate(lower, upper, lower == upper, witness, provenance)
-        zs.check_certificate(form, witness, seed=args.seed)
+        zs.check_certificate(form, witness)
         doc = {"n": curv.n, "N": dec.N}
         doc.update(io.certificate_to_dict(cert))
         _emit(doc, args)

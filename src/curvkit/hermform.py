@@ -46,16 +46,6 @@ def pair_indices(n: int) -> tuple:
     return tuple((i, k) for i in range(n) for k in range(i, n))
 
 
-@lru_cache(maxsize=None)
-def _pair_lookup(n: int) -> np.ndarray:
-    """(n, n) table mapping an ordered pair to its flat pair index."""
-    table = np.zeros((n, n), dtype=np.intp)
-    for flat, (i, k) in enumerate(pair_indices(n)):
-        table[i, k] = flat
-        table[k, i] = flat
-    return table
-
-
 def _dim_from_pairs(d: int) -> int:
     n = int((np.sqrt(8 * d + 1) - 1) / 2 + 0.5)
     if pair_dim(n) != d:
@@ -327,17 +317,28 @@ def dangelo_system(dec: SquareDecomposition, unitary) -> list:
 
 
 def _pair_change_of_basis(t: np.ndarray) -> np.ndarray:
-    """Matrix S with w(Tv) = S w(v) on the pair basis."""
-    n = t.shape[0]
-    idx = pair_indices(n)
-    d = len(idx)
-    s = np.zeros((d, d), dtype=complex)
-    for row, (i, k) in enumerate(idx):
-        for col, (a, b) in enumerate(idx):
-            s[row, col] = t[i, a] * t[k, b]
-            if a != b:
-                s[row, col] += t[i, b] * t[k, a]
+    """Matrix S with w(Tc) = S w(c) on the pair bases, for an n x d matrix T:
+    ``pair_dim(n)`` rows, ``pair_dim(d)`` columns.
+
+    Entry ((i, k), (a, b)) is ``T[i, a] T[k, b] + T[i, b] T[k, a]`` for a != b
+    and ``T[i, a] T[k, a]`` on the diagonal pairs."""
+    n, d = t.shape
+    i, k = np.array(pair_indices(n), dtype=np.intp).reshape(-1, 2).T[:, :, None]
+    a, b = np.array(pair_indices(d), dtype=np.intp).reshape(-1, 2).T
+    s = _complex_product(t[i, a], t[k, b])
+    off = a != b
+    s[:, off] += _complex_product(t[i, b[off]], t[k, a[off]])
     return s
+
+
+def _complex_product(x, y):
+    """Elementwise x * y from real parts, rounded as the scalar complex product
+    is: numpy's vectorized complex multiply may fuse multiply-adds on some
+    CPUs, which would make the result depend on the host."""
+    out = np.empty(x.shape, dtype=complex)
+    out.real = x.real * y.real - x.imag * y.imag
+    out.imag = x.real * y.imag + x.imag * y.real
+    return out
 
 
 def pullback(form: HermitianForm22, t) -> HermitianForm22:

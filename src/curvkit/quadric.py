@@ -98,11 +98,16 @@ class Subspace:
 def nullspace(a: np.ndarray, rtol: float = 1e-9, floor: float = 0.0) -> np.ndarray:
     """Orthonormal basis of the null space; singular values below
     rtol * max(sigma_max, floor) count as zero.  A positive `floor` sets the
-    natural scale of the matrix when it may be numerically zero overall."""
+    natural scale of the matrix when it may be numerically zero overall.
+
+    A tall input (rows >= cols) gets a thin SVD, whose ``vh`` is already the
+    full cols x cols matrix, so the rows x rows left factor is never formed;
+    a wide input needs the full ``vh`` to reach the directions past its rank.
+    """
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.shape[0] == 0:
         return np.eye(a.shape[1], dtype=complex)
-    _, s, vh = np.linalg.svd(a)
+    _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
     cutoff = rtol * max(s[0] if s.size else 0.0, floor)
     rank = int(np.sum(s > cutoff))
     return vh[rank:].conj().T

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curvkit as ck
-from curvkit.hermform import monomial_vector, pair_dim, pair_indices
+from curvkit.hermform import _pair_change_of_basis, monomial_vector, pair_dim, pair_indices
 
 
 def form_from_diag(diag):
@@ -57,6 +57,32 @@ class TestPairBasis:
         direct = q(v)
         via_pairs = q.pair_coefficients() @ monomial_vector(v)
         assert direct == pytest.approx(via_pairs)
+
+
+class TestPairChangeOfBasis:
+    @staticmethod
+    def loop_reference(t):
+        idx, cols = pair_indices(t.shape[0]), pair_indices(t.shape[1])
+        s = np.zeros((len(idx), len(cols)), dtype=complex)
+        for row, (i, k) in enumerate(idx):
+            for col, (a, b) in enumerate(cols):
+                s[row, col] = t[i, a] * t[k, b]
+                if a != b:
+                    s[row, col] += t[i, b] * t[k, a]
+        return s
+
+    @pytest.mark.parametrize("n, d", [(1, 1), (4, 4), (7, 7), (12, 12), (6, 2), (9, 5), (3, 0)])
+    def test_matches_loop_bitwise(self, n, d):
+        t = ck.Rng(n * 31 + d).complex_normal((n, d))
+        np.testing.assert_array_equal(_pair_change_of_basis(t), self.loop_reference(t))
+
+    def test_maps_monomial_vectors(self):
+        rng = ck.Rng(29)
+        t = rng.complex_normal((7, 3))
+        c = rng.complex_normal(3)
+        np.testing.assert_allclose(
+            _pair_change_of_basis(t) @ monomial_vector(c), monomial_vector(t @ c), atol=1e-12
+        )
 
 
 class TestFromQuadricSquares:

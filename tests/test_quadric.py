@@ -30,6 +30,33 @@ class TestRankAndKernel:
         assert kernel.contains([0.0, 0.0, 1.0, 0.0, 0.0])
 
 
+class TestNullspace:
+    @pytest.mark.parametrize("rows, cols, rank", [(40, 6, 4), (7, 7, 5), (3, 8, 3), (6, 6, 6)])
+    def test_matches_full_svd_reference(self, rows, cols, rank):
+        # tall inputs take the thin SVD, wide ones the full one; both must
+        # agree with the full-SVD null space in dimension
+        rng = ck.Rng(rows * 100 + cols)
+        a = rng.complex_normal((rows, rank)) @ rng.complex_normal((rank, cols))
+        kernel = ck.nullspace(a)
+        _, s, vh = np.linalg.svd(a)
+        expected = vh[int(np.sum(s > 1e-9 * s[0])) :].conj().T
+        assert kernel.shape == expected.shape == (cols, cols - rank)
+        np.testing.assert_allclose(
+            kernel.conj().T @ kernel, np.eye(cols - rank), atol=1e-12
+        )
+        assert np.linalg.norm(a @ kernel) <= 1e-10 * np.linalg.norm(a)
+
+    @pytest.mark.parametrize("rank", [1, 5, 8, 11])
+    def test_curvature_kernel_rank_deficient_theta(self, rank):
+        # a theta model's curvature kernel contains the kernel of its Hessian
+        # and has its dimension, so n_R equals the Hessian rank
+        f = ck.random_symmetric_with_rank(12, rank, ck.Rng(5, stream=rank))
+        kernel = ck.curvature_kernel(ck.graph_curvature([f.matrix], -1))
+        assert 12 - kernel.dim == rank
+        hess_kernel = ck.nullspace(f.matrix)
+        assert all(kernel.contains(hess_kernel[:, j]) for j in range(12 - rank))
+
+
 class TestTakagi:
     def test_identity(self):
         w, s = ck.takagi(ck.QuadraticForm(np.eye(2)))

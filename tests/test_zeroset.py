@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import curvkit as ck
+from curvkit.hermform import _pair_change_of_basis, monomial_vector, pair_dim
 from curvkit.zeroset import check_certificate
 
 
@@ -217,6 +218,59 @@ class TestCertificates:
         bogus = ck.Subspace(np.eye(4, dtype=complex)[:, (0, 2)])  # z1 z3 != 0 there
         with pytest.raises(ck.NumericalError):
             check_certificate(form, bogus)
+
+    def test_pullback_reproduces_form_values(self):
+        # the pulled-back matrix is the form restricted to the witness
+        rng = ck.Rng(107)
+        form = ck.HermitianForm22(rng.complex_normal((pair_dim(6), pair_dim(6))))
+        basis = ck.Subspace.from_span(rng.complex_normal((6, 3))).basis
+        s_b = _pair_change_of_basis(basis)
+        restricted = s_b.conj().T @ form.matrix @ s_b
+        for _ in range(10):
+            c = rng.complex_normal(3)
+            w = monomial_vector(c)
+            assert float((w.conj() @ restricted @ w).real) == pytest.approx(
+                form.evaluate(basis @ c), rel=1e-10, abs=1e-12
+            )
+
+    def test_rotated_witness_accepted(self):
+        dec, _ = ck.local_sharp_example(8, 3)
+        form = ck.from_quadric_squares(dec.pos, dec.neg)
+        _, witness = ck.eta_lower_search(dec, trials=16, seed=0)
+        rotation = ck.Rng(109).unitary(witness.dim)
+        check_certificate(form, ck.Subspace(witness.basis @ rotation))
+
+    def test_tilted_witness_rejected(self):
+        dec, _ = ck.local_sharp_example(6, 2)
+        form = ck.from_quadric_squares(dec.pos, dec.neg)
+        _, witness = ck.eta_lower_search(dec, trials=16, seed=0)
+        check_certificate(form, witness)
+        outside = ck.Rng(113).complex_normal(6)
+        outside /= np.linalg.norm(outside)
+        assert form.evaluate(outside) > 1e-3 * form.norm()
+        tilted = witness.basis.copy()
+        tilted[:, 0] += 1e-3 * outside
+        with pytest.raises(ck.NumericalError):
+            check_certificate(form, ck.Subspace.from_span(tilted))
+
+    def test_independent_of_seed(self):
+        dec, _ = ck.local_sharp_example(4, 1)
+        form = ck.from_quadric_squares(dec.pos, dec.neg)
+        _, witness = ck.eta_lower_search(dec, trials=4, seed=0)
+        bogus = ck.Subspace.from_span(ck.Rng(127).complex_normal((4, 3)))
+        messages = set()
+        for seed in (0, 1, 2**40):
+            check_certificate(form, witness, seed=seed)
+            with pytest.raises(ck.NumericalError) as err:
+                check_certificate(form, bogus, seed=seed)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_dimension_mismatch_rejected(self):
+        dec, _ = ck.local_sharp_example(4, 1)
+        form = ck.from_quadric_squares(dec.pos, dec.neg)
+        with pytest.raises(ck.InputError):
+            check_certificate(form, ck.Subspace.full(5))
 
     def test_generated_instances_respect_bounds(self):
         # semi-definite instances from both generators satisfy
