@@ -25,6 +25,7 @@ from .curvature import (
     hsc_numerator_form,
     recover,
     ricci,
+    ricci_definite,
     scalar,
     validate,
 )
@@ -372,15 +373,12 @@ def _dispatch(args) -> int:
         curv = _load_tensor(args.tensor)
         metric = _load_metric(args.metric, curv.n)
         ric = ricci(curv, metric)
-        eig = np.linalg.eigvalsh(ric)
-        escale = max(float(np.max(np.abs(eig))) if eig.size else 0.0, 0.0)
-        cutoff = args.tol * (escale if escale > 0 else 1.0)
         _emit(
             {
                 "n": curv.n,
                 "ricci": io.matrix_to_pairs(ric),
                 "determinant": io.pair(np.linalg.det(ric)),
-                "definite": bool(np.all(eig > cutoff) or np.all(eig < -cutoff)),
+                "definite": ricci_definite(ric, args.tol),
                 "scalar": scalar(curv, metric),
             },
             args,

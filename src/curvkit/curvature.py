@@ -23,7 +23,6 @@ from .errors import InputError, NumericalError, PreconditionError, ValidationErr
 from .hermform import (
     HermitianForm22,
     SquareDecomposition,
-    pair_dim,
     pair_indices,
     signature,
 )
@@ -39,6 +38,7 @@ __all__ = [
     "recover",
     "graph_curvature",
     "ricci",
+    "ricci_definite",
     "scalar",
     "curvature_kernel",
     "kernel_propagation_check",
@@ -46,48 +46,36 @@ __all__ = [
     "random_kahler",
 ]
 
-# index maps of the symmetry group acting on (i, j, k, l); the second four act
-# together with complex conjugation
-_PLAIN = (
-    lambda i, j, k, l: (i, j, k, l),
-    lambda i, j, k, l: (k, j, i, l),
-    lambda i, j, k, l: (i, l, k, j),
-    lambda i, j, k, l: (k, l, i, j),
-)
-_CONJ = (
-    lambda i, j, k, l: (j, i, l, k),
-    lambda i, j, k, l: (j, k, l, i),
-    lambda i, j, k, l: (l, i, j, k),
-    lambda i, j, k, l: (l, k, j, i),
-)
+# the symmetry group acting on index quadruples, as position permutations:
+# the image of q = (i, j, k, l) under p is (q[p[0]], q[p[1]], q[p[2]], q[p[3]]).
+# The second four act together with complex conjugation.
+_PLAIN = ((0, 1, 2, 3), (2, 1, 0, 3), (0, 3, 2, 1), (2, 3, 0, 1))
+_CONJ = ((1, 0, 3, 2), (1, 2, 3, 0), (3, 0, 1, 2), (3, 2, 1, 0))
+
+
+def _at_images(a: np.ndarray, p) -> np.ndarray:
+    """View of a 4-index array whose entry q is a's entry at q's image under p."""
+    return a.transpose(np.argsort(p))
 
 
 @lru_cache(maxsize=None)
 def _orbits(n: int):
     """Flat-index orbit table: (plain, conj, real_mask) arrays, one row per
-    orbit of the symmetry group on index quadruples."""
-    strides = np.array([n**3, n**2, n, 1])
-    seen = np.zeros(n**4, dtype=bool)
-    plain_rows, conj_rows, real_rows = [], [], []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    flat = i * strides[0] + j * strides[1] + k * n + l
-                    if seen[flat]:
-                        continue
-                    plain = [int(np.dot(p(i, j, k, l), strides)) for p in _PLAIN]
-                    conj = [int(np.dot(c(i, j, k, l), strides)) for c in _CONJ]
-                    for f in plain + conj:
-                        seen[f] = True
-                    plain_rows.append(plain)
-                    conj_rows.append(conj)
-                    real_rows.append(not set(plain).isdisjoint(conj))
-    return (
-        np.array(plain_rows, dtype=np.intp),
-        np.array(conj_rows, dtype=np.intp),
-        np.array(real_rows, dtype=bool),
-    )
+    orbit of the symmetry group on index quadruples.
+
+    Row r holds the images of the orbit's least flat index under _PLAIN and
+    _CONJ (so column 0 of `plain` is that index, the orbit's lexicographically
+    least member), and rows are in increasing order of it.  An orbit is real
+    when a plain image is also a conjugate one: its value must equal its own
+    conjugate.
+    """
+    flat = np.arange(n**4, dtype=np.intp).reshape((n,) * 4)
+    plain = np.stack([_at_images(flat, p).ravel() for p in _PLAIN], axis=1)
+    conj = np.stack([_at_images(flat, p).ravel() for p in _CONJ], axis=1)
+    least = plain[:, 0] == np.minimum(plain.min(axis=1), conj.min(axis=1))
+    plain, conj = plain[least], conj[least]
+    real_mask = (plain[:, :, None] == conj[:, None, :]).any(axis=(1, 2))
+    return plain, conj, real_mask
 
 
 def _symmetrize(raw: np.ndarray) -> np.ndarray:
@@ -170,20 +158,19 @@ class HermitianMetric:
 
 def _symmetry_residuals(raw: np.ndarray):
     """Worst violation of each symmetry family on a raw array."""
-    conj_dev = np.abs(raw - np.einsum("jilk->ijkl", raw.conj()))
-    k1_dev = np.abs(raw - np.einsum("kjil->ijkl", raw))
-    k2_dev = np.abs(raw - np.einsum("ilkj->ijkl", raw))
     families = (
-        ("conjugation", conj_dev, lambda i, j, k, l: (j, i, l, k)),
-        ("first-pair", k1_dev, lambda i, j, k, l: (k, j, i, l)),
-        ("second-pair", k2_dev, lambda i, j, k, l: (i, l, k, j)),
+        ("conjugation", _CONJ[0]),
+        ("first-pair", _PLAIN[1]),
+        ("second-pair", _PLAIN[2]),
     )
     worst = (0.0, None, None, None)
-    for name, dev, partner in families:
+    for name, p in families:
+        image = _at_images(raw, p)
+        dev = np.abs(raw - (image.conj() if p in _CONJ else image))
         m = float(dev.max())
         if m > worst[0]:
             at = np.unravel_index(int(dev.argmax()), raw.shape)
-            worst = (m, name, at, partner(*at))
+            worst = (m, name, at, tuple(at[x] for x in p))
     return worst
 
 
@@ -232,15 +219,15 @@ def hsc_numerator_form(curv: KahlerCurvature) -> HermitianForm22:
     A[(ik),(jl)] = m_ik m_jl conj(R[i,j,k,l]) with m_ik = 1 if i = k else 2;
     evaluate() then reproduces sum R[i,j,k,l] v_i conj(v_j) v_k conj(v_l).
     """
-    n = curv.n
-    idx = pair_indices(n)
-    d = pair_dim(n)
-    a = np.empty((d, d), dtype=complex)
-    for row, (i, k) in enumerate(idx):
-        mi = 1.0 if i == k else 2.0
-        for col, (j, l) in enumerate(idx):
-            mj = 1.0 if j == l else 2.0
-            a[row, col] = mi * mj * curv.tensor[j, i, l, k]
+    i, k = np.array(pair_indices(curv.n), dtype=np.intp).reshape(-1, 2).T
+    m = np.where(i == k, 1.0, 2.0)
+    weight = m[:, None] * m[None, :]
+    # rows and columns run over the same pairs: row (i, k), column (j, l)
+    z = curv.tensor[i[None, :], i[:, None], k[None, :], k[:, None]]
+    # rounded as the scalar product (weight + 0j) * z is, signed zeros too
+    a = np.empty(z.shape, dtype=complex)
+    a.real = weight * z.real - 0.0 * z.imag
+    a.imag = weight * z.imag + 0.0 * z.real
     return HermitianForm22(a)
 
 
@@ -287,6 +274,15 @@ def ricci(curv: KahlerCurvature, metric: HermitianMetric | None = None) -> np.nd
     else:
         r = np.einsum("lk,ijkl->ij", metric.inverse(), curv.tensor)
     return (r + r.conj().T) / 2.0
+
+
+def ricci_definite(ric: np.ndarray, tol: float = 1e-9) -> bool:
+    """True iff every eigenvalue of the Hermitian matrix `ric` lies on one
+    side of zero, beyond ``tol * spectral radius`` (fallback scale 1)."""
+    eig = np.linalg.eigvalsh(ric)
+    scale = float(np.max(np.abs(eig))) if eig.size else 0.0
+    cutoff = tol * (scale if scale > 0 else 1.0)
+    return bool(np.all(eig > cutoff) or np.all(eig < -cutoff))
 
 
 def scalar(curv: KahlerCurvature, metric: HermitianMetric | None = None) -> float:

@@ -8,7 +8,6 @@ A subspace is held as a matrix with orthonormal columns.
 """
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .hermform import QuadraticForm
@@ -119,12 +118,40 @@ def rank_and_kernel(q: QuadraticForm, tol: float = 1e-9):
     return q.n - ker.shape[1], Subspace(ker, n=q.n)
 
 
+def _symmetric_unitary_root(z: np.ndarray) -> np.ndarray:
+    """Symmetric C with C @ C = Z, for a symmetric unitary Z.
+
+    Z = X + iY with X, Y real symmetric, and Z conj(Z) = I makes them commute,
+    so one real orthogonal O diagonalizes Z: with lambda = diag(O^T Z O) the
+    root is O diag(sqrt(lambda)) O^T, symmetric because O is real.  O is the
+    eigenbasis of Re(e^{-i phi} Z), whose eigenvalues cos(theta_j - phi) for
+    lambda_j = e^{i theta_j} coincide for distinct lambda_a, lambda_b only
+    when phi is their angle midpoint (theta_a + theta_b)/2 mod pi.  So phi is
+    put in the middle of the widest gap between those midpoints: the eigh is
+    then well conditioned wherever it has to tell two lambdas apart, and the
+    eigenvectors of nearly equal lambdas may mix at a cost of their distance.
+    Two eigensolver calls, no iteration.
+    """
+    if z.shape[0] == 1:
+        return np.sqrt(z)
+    theta = np.angle(np.linalg.eigvals(z))
+    mid = np.sort(((theta[:, None] + theta[None, :]) / 2.0).ravel() % np.pi)
+    gaps = np.diff(mid, append=mid[0] + np.pi)
+    phi = mid[gaps.argmax()] + gaps.max() / 2.0
+    _, o = np.linalg.eigh((np.exp(-1j * phi) * z).real)
+    lam = np.sum(o * (z @ o), axis=0)
+    return (o * np.sqrt(lam)) @ o.T
+
+
 def takagi(q: QuadraticForm):
     """Takagi factorization F = W diag(s) W^T, W unitary, s >= 0 descending.
 
-    Computed from the SVD of F with a phase-correction step pairing the left
-    and right singular frames blockwise over singular-value groups.  The
-    contract is the factorization residual, checked at 1e-9 * ||F||.
+    From the SVD F = U diag(s) V^*: on each group of equal singular values the
+    block Z of V^T U is symmetric and unitary, and W = conj(V) C with C the
+    blockwise symmetric root C @ C = Z (:func:`_symmetric_unitary_root`, two
+    eigensolver calls, no iteration); on the zero group C = I, since the
+    factor is unconstrained there.  The contract is the factorization residual,
+    checked at 1e-9 * ||F||.
     """
     f = q.matrix
     n = q.n
@@ -147,7 +174,7 @@ def takagi(q: QuadraticForm):
             corr[np.ix_(g, g)] = np.eye(len(g))
         else:
             zb = phase[np.ix_(g, g)]
-            corr[np.ix_(g, g)] = scipy.linalg.sqrtm((zb + zb.T) / 2.0)
+            corr[np.ix_(g, g)] = _symmetric_unitary_root((zb + zb.T) / 2.0)
     w = v.conj() @ corr
     fnorm = np.linalg.norm(f)
     resid = np.linalg.norm(w @ np.diag(s) @ w.T - f)

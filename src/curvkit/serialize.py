@@ -23,7 +23,7 @@ import json
 
 import numpy as np
 
-from .curvature import KahlerCurvature, HermitianMetric, validate
+from .curvature import _CONJ, _PLAIN, KahlerCurvature, HermitianMetric, _orbits, validate
 from .errors import InputError, ValidationError
 from .hermform import HermitianForm22, QuadraticForm, SquareDecomposition, pair_dim
 from .quadric import Subspace
@@ -49,20 +49,6 @@ __all__ = [
     "dumps",
     "load_path",
 ]
-
-_ORBIT_PLAIN = (
-    lambda i, j, k, l: (i, j, k, l),
-    lambda i, j, k, l: (k, j, i, l),
-    lambda i, j, k, l: (i, l, k, j),
-    lambda i, j, k, l: (k, l, i, j),
-)
-_ORBIT_CONJ = (
-    lambda i, j, k, l: (j, i, l, k),
-    lambda i, j, k, l: (j, k, l, i),
-    lambda i, j, k, l: (l, i, j, k),
-    lambda i, j, k, l: (l, k, j, i),
-)
-
 
 def pair(z) -> list:
     z = complex(z)
@@ -103,29 +89,16 @@ def tensor_to_dict(curv: KahlerCurvature) -> dict:
     """One entry per symmetry orbit (its lexicographically least member);
     orbits whose value is zero are omitted."""
     n = curv.n
-    t = curv.tensor
-    seen = np.zeros((n,) * 4, dtype=bool)
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if seen[i, j, k, l]:
-                        continue
-                    for fn in _ORBIT_PLAIN + _ORBIT_CONJ:
-                        seen[fn(i, j, k, l)] = True
-                    z = t[i, j, k, l]
-                    if z != 0:
-                        entries.append(
-                            {
-                                "i": i + 1,
-                                "j": j + 1,
-                                "k": k + 1,
-                                "l": l + 1,
-                                "re": float(z.real),
-                                "im": float(z.imag),
-                            }
-                        )
+    least = _orbits(n)[0][:, 0]
+    z = curv.tensor.ravel()[least]
+    keep = z != 0
+    quads = np.stack(np.unravel_index(least[keep], (n,) * 4), axis=1) + 1
+    entries = [
+        {"i": i, "j": j, "k": k, "l": l, "re": re, "im": im}
+        for (i, j, k, l), re, im in zip(
+            quads.tolist(), z[keep].real.tolist(), z[keep].imag.tolist()
+        )
+    ]
     return {"n": n, "entries": entries}
 
 
@@ -153,25 +126,27 @@ def tensor_from_dict(d: dict) -> KahlerCurvature:
             offenders.append(tuple(x + 1 for x in idx))
         given[idx] = val
     ctol = 1e-10 * max(values)
-    filled = {}
-    for idx, val in given.items():
-        images = [(fn(*idx), val) for fn in _ORBIT_PLAIN]
-        images += [(fn(*idx), val.conjugate()) for fn in _ORBIT_CONJ]
-        for target, implied in images:
-            if target in filled and abs(filled[target] - implied) > ctol:
-                offenders.append(tuple(x + 1 for x in target))
-            else:
-                filled.setdefault(target, implied)
+    t = np.zeros(n**4, dtype=complex)
+    if given:
+        # images of every entry, its 4 plain ones then its 4 conjugate ones;
+        # a target keeps the value implied first, and a later one that
+        # differs by more than ctol is a conflict
+        quads = np.array(list(given), dtype=np.intp)
+        targets = (quads[:, _PLAIN + _CONJ] @ n ** np.arange(3, -1, -1)).ravel()
+        vals = np.array(list(given.values()), dtype=complex)[:, None]
+        implied = np.hstack([vals.repeat(4, axis=1), vals.conj().repeat(4, axis=1)]).ravel()
+        _, first, which = np.unique(targets, return_index=True, return_inverse=True)
+        clash = np.abs(implied - implied[first][which]) > ctol
+        clashing = np.stack(np.unravel_index(targets[clash], (n,) * 4), axis=1) + 1
+        offenders += [tuple(q) for q in clashing.tolist()]
+        t[targets[first]] = implied[first]
     if offenders:
         uniq = sorted(set(offenders))
         raise ValidationError(
             f"{what}: {len(uniq)} entries conflict under symmetry closure: {uniq}",
             indices=uniq,
         )
-    t = np.zeros((n,) * 4, dtype=complex)
-    for idx, val in filled.items():
-        t[idx] = val
-    return validate(t)
+    return validate(t.reshape((n,) * 4))
 
 
 def metric_to_dict(metric: HermitianMetric) -> dict:

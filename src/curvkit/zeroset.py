@@ -25,6 +25,7 @@ from .curvature import (
     curvature_kernel,
     hsc_numerator_form,
     ricci,
+    ricci_definite,
 )
 from .errors import InputError, NumericalError, PreconditionError
 from .hermform import (
@@ -355,10 +356,6 @@ def verify_point(
     b2 = bound_main2(n, length, n_r) if length >= 1 else 0
     r_low, r_high = n - cert.upper, n - cert.lower
     ric = ricci(curv, metric)
-    eig = np.linalg.eigvalsh(ric)
-    escale = max(np.max(np.abs(eig)) if eig.size else 0.0, 0.0)
-    cutoff = tol * (escale if escale > 0 else 1.0)
-    definite = bool(np.all(eig > cutoff) or np.all(eig < -cutoff))
     return PointReport(
         n=n,
         N=length,
@@ -368,7 +365,7 @@ def verify_point(
         bound_main1=b1,
         bound_main2=b2,
         ricci_det=complex(np.linalg.det(ric)),
-        ricci_definite=definite,
+        ricci_definite=ricci_definite(ric, tol),
         pass_main1=_tri_state(r_low, r_high, b1),
         pass_main2=_tri_state(r_low, r_high, b2),
     )

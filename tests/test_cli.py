@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -241,3 +244,15 @@ class TestOutputModes:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+
+def test_import_leaves_scipy_out():
+    # a CLI process pays for every module it imports at start-up
+    src = os.path.dirname(os.path.dirname(os.path.abspath(ck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, curvkit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import curvkit as ck
+from curvkit.curvature import _orbits
 
 
 def theta_tensor(f):
@@ -99,6 +100,78 @@ class TestNumeratorForm:
             v = rng.complex_normal(n)
             num = np.einsum("ijkl,i,j,k,l->", curv.tensor, v, v.conj(), v, v.conj()).real
             assert form.evaluate(v) == pytest.approx(num, rel=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bitwise_equal_to_pair_loop(self, n):
+        # the index-array gather must round as the scalar loop did, signed
+        # zeros included (zero and sparse tensors carry -0.0 parts)
+        tensors = [
+            ck.random_kahler(n, ck.Rng(13, stream=n)),
+            theta_tensor(ck.random_symmetric_with_rank(n, n, ck.Rng(17, stream=n)).matrix),
+            ck.KahlerCurvature.zero(n),
+        ]
+        if n >= 2:
+            tensors.append(ck.recover(ck.local_sharp_example(n, 2)[0]))
+        idx = ck.pair_indices(n)
+        for curv in tensors:
+            a = np.empty((len(idx), len(idx)), dtype=complex)
+            for row, (i, k) in enumerate(idx):
+                mi = 1.0 if i == k else 2.0
+                for col, (j, l) in enumerate(idx):
+                    mj = 1.0 if j == l else 2.0
+                    a[row, col] = mi * mj * curv.tensor[j, i, l, k]
+            expected = ck.HermitianForm22(a).matrix
+            assert ck.hsc_numerator_form(curv).matrix.tobytes() == expected.tobytes()
+
+
+def _orbits_loop(n):
+    """The orbit table as first written: a loop over quadruples in flat order."""
+    plain_maps = (
+        lambda i, j, k, l: (i, j, k, l),
+        lambda i, j, k, l: (k, j, i, l),
+        lambda i, j, k, l: (i, l, k, j),
+        lambda i, j, k, l: (k, l, i, j),
+    )
+    conj_maps = (
+        lambda i, j, k, l: (j, i, l, k),
+        lambda i, j, k, l: (j, k, l, i),
+        lambda i, j, k, l: (l, i, j, k),
+        lambda i, j, k, l: (l, k, j, i),
+    )
+    strides = np.array([n**3, n**2, n, 1])
+    seen = np.zeros(n**4, dtype=bool)
+    plain_rows, conj_rows, real_rows = [], [], []
+    for q in np.ndindex(*(n,) * 4):
+        if seen[int(np.dot(q, strides))]:
+            continue
+        plain = [int(np.dot(p(*q), strides)) for p in plain_maps]
+        conj = [int(np.dot(c(*q), strides)) for c in conj_maps]
+        seen[plain + conj] = True
+        plain_rows.append(plain)
+        conj_rows.append(conj)
+        real_rows.append(not set(plain).isdisjoint(conj))
+    return (
+        np.array(plain_rows, dtype=np.intp),
+        np.array(conj_rows, dtype=np.intp),
+        np.array(real_rows, dtype=bool),
+    )
+
+
+class TestOrbitTable:
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_loop_reference(self, n):
+        for got, expected in zip(_orbits(n), _orbits_loop(n)):
+            assert got.dtype == expected.dtype
+            np.testing.assert_array_equal(got, expected)
+
+
+class TestRicciDefinite:
+    def test_cut_is_relative_to_spectral_radius(self):
+        assert ck.ricci_definite(np.diag([2.0, 1e-8]))
+        assert not ck.ricci_definite(np.diag([2.0, 1e-10]))
+        assert ck.ricci_definite(np.diag([-2.0, -1e-8]))
+        assert not ck.ricci_definite(np.diag([2.0, -1.0]))
+        assert not ck.ricci_definite(np.zeros((2, 2)))
 
 
 class TestRecover:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import curvkit as ck
+from curvkit.quadric import _symmetric_unitary_root
 
 
 def pair_quadric(n, pairs, diag=()):
@@ -76,6 +77,51 @@ class TestTakagi:
             resid = np.linalg.norm(w @ np.diag(s) @ w.T - q.matrix)
             assert resid <= 1e-9 * q.norm()
             assert np.linalg.norm(w.conj().T @ w - np.eye(n)) <= 1e-9
+
+    @staticmethod
+    def assert_takagi(q):
+        w, s = ck.takagi(q)
+        assert np.linalg.norm(w @ np.diag(s) @ w.T - q.matrix) <= 1e-9 * max(q.norm(), 1.0)
+        assert np.linalg.norm(w.conj().T @ w - np.eye(q.n)) <= 1e-9
+        sub = ck.max_isotropic(q)
+        assert ck.vanishes_on(q, sub)
+        return s
+
+    @pytest.mark.parametrize("n, big_n", [(6, 1), (7, 2), (9, 2), (12, 4)])
+    def test_sharp_family_repeated_values(self, n, big_n):
+        # the pair blocks share one singular value 1/2; a unitary chart makes
+        # the phase block of that group a dense symmetric unitary matrix
+        quadrics, _, _ = ck.sharp_family(n, big_n)
+        u = ck.Rng(n, stream=big_n).unitary(n)
+        for q in quadrics:
+            if not q.is_zero():
+                self.assert_takagi(q)
+                self.assert_takagi(ck.QuadraticForm(u.T @ q.matrix @ u))
+
+    def test_identity_blocks_and_zero_block(self):
+        u = ck.Rng(53).unitary(7)
+        s = np.array([3.0, 3.0, 3.0, 1.0, 1.0, 0.0, 0.0])
+        got = self.assert_takagi(ck.QuadraticForm(u.T @ np.diag(s) @ u))
+        np.testing.assert_allclose(got, s, atol=1e-12)
+        self.assert_takagi(ck.QuadraticForm(np.eye(5)))
+        assert np.array_equal(self.assert_takagi(ck.QuadraticForm.zero(3)), np.zeros(3))
+
+    def test_singular_values_1e10_apart(self):
+        u = ck.Rng(59).unitary(4)
+        s = np.array([2.0, 1.0 + 1e-10, 1.0, 0.5])
+        self.assert_takagi(ck.QuadraticForm(u.T @ np.diag(s) @ u))
+
+    def test_root_of_nearly_conjugate_eigenvalues(self):
+        # eigenvalues e^{+-i t} with cos t 1e-8..1e-6 apart: their real parts
+        # nearly coincide while the values are far apart
+        o = np.linalg.qr(ck.Rng(61).uniform(16).reshape(4, 4))[0]
+        for gap in (1e-8, 3e-8, 1e-7, 1e-6):
+            x = np.array([0.3, 0.3 + gap, -0.7, 0.9])
+            lam = x + 1j * np.sqrt(1.0 - x**2) * np.array([1.0, -1.0, 1.0, -1.0])
+            z = o @ np.diag(lam) @ o.T
+            root = _symmetric_unitary_root(z)
+            assert np.linalg.norm(root - root.T) <= 1e-13
+            assert np.linalg.norm(root @ root - z) <= 1e-13
 
 
 class TestIsotropicBound:
